@@ -5,7 +5,7 @@ GO ?= go
 
 # Perf-trajectory knobs: where the fresh bench run lands, which committed
 # entry it is gated against, and how much ns/op drift the gate allows.
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR13.json
 BENCH_BASELINE ?= BENCH_PR7.json
 BENCH_MAX_REGRESS ?= 0.35
 

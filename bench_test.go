@@ -3,7 +3,7 @@ package olgapro
 // One benchmark per table and figure of the paper's evaluation (§6). Each
 // benchmark regenerates the corresponding artifact through the experiment
 // harness at a reduced scale; run `go run ./cmd/experiments` for the
-// full-scale tables recorded in EXPERIMENTS.md.
+// full-scale tables (docs/performance.md describes the measurements).
 
 import (
 	"testing"

@@ -39,6 +39,7 @@ import (
 	"net/url"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -357,11 +358,11 @@ func benchTuningPick(useClone bool) func(b *testing.B) {
 // throughputTuples is the table size of one throughput-benchmark op.
 const throughputTuples = 64
 
-// benchTable builds the uncertain input table shared by the throughput
-// benchmarks.
-func benchTable() []*query.Tuple {
+// benchTable builds the n-row uncertain input table shared by the
+// throughput and predicate-stage benchmarks.
+func benchTable(n int) []*query.Tuple {
 	rng := rand.New(rand.NewSource(21))
-	rel := make([]*query.Tuple, throughputTuples)
+	rel := make([]*query.Tuple, n)
 	for i := range rel {
 		rel[i] = query.MustTuple(
 			[]string{"id", "x0", "x1"},
@@ -386,7 +387,7 @@ func benchParallelEvalTable(workers int) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rel := benchTable()
+		rel := benchTable(throughputTuples)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			pe := pool.Apply(query.NewScan(rel), []string{"x0", "x1"}, "y", exec.Options{Seed: 17})
@@ -426,7 +427,7 @@ func benchParallelIOTable(workers int) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rel := benchTable()
+		rel := benchTable(throughputTuples)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			pe := pool.Apply(query.NewScan(rel), []string{"x0", "x1"}, "y", exec.Options{Seed: 17})
@@ -439,6 +440,104 @@ func benchParallelIOTable(workers int) func(b *testing.B) {
 			}
 		}
 	}
+}
+
+// predicateRows is the relation size of one query_predicate_* op.
+const predicateRows = 512
+
+// inferCounter wraps an engine and counts the tuples it evaluated and the
+// samples it ran inference on, including tuples the stage then drops.
+type inferCounter struct {
+	query.Engine
+	tuples, samples atomic.Int64
+}
+
+func (c *inferCounter) EvalInput(input dist.Vector, pred *mc.Predicate, rng *rand.Rand) (*core.Output, error) {
+	out, err := c.Engine.EvalInput(input, pred, rng)
+	if err == nil {
+		c.tuples.Add(1)
+		c.samples.Add(int64(out.SamplesInferred))
+	}
+	return out, err
+}
+
+// predicateStage is the query_predicate_* set-up: a 1-worker pool on a
+// frozen poly/smooth2d clone (ε=0.2, δ=0.1) behind an inferCounter, and
+// the predicateRows-row table it drains.
+type predicateStage struct {
+	pool *exec.Pool
+	eng  *inferCounter
+	rel  []*query.Tuple
+}
+
+func newPredicateStage() predicateStage {
+	ev, err := core.NewEvaluator(smoothUDF(), core.Config{Eps: 0.2, Delta: 0.1, Kernel: kernel.NewSqExp(1, 0.5)})
+	if err != nil {
+		panic(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	in, err := dist.IsoGaussianVec([]float64{0.5, 0.5}, 0.15)
+	if err != nil {
+		panic(err)
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := ev.Eval(in, rng); err != nil {
+			panic(err)
+		}
+	}
+	clone, err := ev.CloneFrozen()
+	if err != nil {
+		panic(err)
+	}
+	eng := &inferCounter{Engine: query.NewEvaluatorEngine(clone)}
+	pool, err := exec.NewPool(eng)
+	if err != nil {
+		panic(err)
+	}
+	return predicateStage{pool: pool, eng: eng, rel: benchTable(predicateRows)}
+}
+
+// drain runs the table once through the pool under pred and returns how
+// many tuples survived.
+func (s predicateStage) drain(pred *mc.Predicate) (int, error) {
+	pe := s.pool.Apply(query.NewScan(s.rel), []string{"x0", "x1"}, "y", exec.Options{Seed: 17, Predicate: pred})
+	out, err := query.Drain(pe)
+	return len(out), err
+}
+
+// samplesPerTuple reads the counter since its last reset.
+func (s predicateStage) samplesPerTuple() float64 {
+	return float64(s.eng.samples.Load()) / float64(s.eng.tuples.Load())
+}
+
+func (s predicateStage) resetCounts() {
+	s.eng.tuples.Store(0)
+	s.eng.samples.Store(0)
+}
+
+// measurePredicateStage measures the query_predicate_* rungs: one op drains
+// the table under pred, and the result records the samples inferred per
+// tuple. With pred nil every sample is inferred; a predicate every tuple
+// satisfies with certainty must cost the same; a predicate no tuple can
+// satisfy drops each one after the first 64-sample chunk.
+func measurePredicateStage(name string, pred *mc.Predicate, wantRows int) benchfmt.Result {
+	st := newPredicateStage()
+	res := measureThroughput(name, predicateRows, func(b *testing.B) {
+		st.resetCounts()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n, err := st.drain(pred)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n != wantRows {
+				b.Fatalf("%d of %d tuples survived, want %d", n, predicateRows, wantRows)
+			}
+		}
+	})
+	res.SamplesPerTuple = st.samplesPerTuple()
+	fmt.Fprintf(os.Stderr, "%-28s %12.1f samples/tuple\n", "", res.SamplesPerTuple)
+	return res
 }
 
 // boundedRelation builds an n-tuple relation whose "y" attribute is a UDF
@@ -870,6 +969,9 @@ func main() {
 		measure("query_topk_n4096_k64", benchQueryTopK(4096, 64)),
 		measure("query_window_n512", benchQueryWindow(512)),
 		measure("query_groupby_n512", benchQueryGroupBy(512)),
+		measurePredicateStage("query_predicate_none", nil, predicateRows),
+		measurePredicateStage("query_predicate_keep", &mc.Predicate{A: -100, B: 100, Theta: 0.5}, predicateRows),
+		measurePredicateStage("query_predicate_drop", &mc.Predicate{A: 100, B: 200, Theta: 0.5}, 0),
 	)
 	// Serving layer: requests/sec through the real HTTP handler. Like the
 	// parallel_* family these depend on host cores and scheduler, so they

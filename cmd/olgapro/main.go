@@ -95,15 +95,15 @@ func run(queryName, engine string, n int, eps, delta float64, seed int64, worker
 	mkEngine := func(f interface {
 		Dim() int
 		Eval([]float64) float64
-	}, kern kernel.Kernel, pred *mc.Predicate) (builtEngine, error) {
+	}, kern kernel.Kernel) (builtEngine, error) {
 		switch engine {
 		case "mc":
 			return builtEngine{eng: query.NewMCEngine(f, mc.Config{
-				Eps: eps, Delta: delta, Metric: mc.MetricDiscrepancy, Predicate: pred,
+				Eps: eps, Delta: delta, Metric: mc.MetricDiscrepancy,
 			})}, nil
 		case "gp":
 			ev, err := core.NewEvaluator(f, core.Config{
-				Eps: eps, Delta: delta, Kernel: kern, Predicate: pred,
+				Eps: eps, Delta: delta, Kernel: kern,
 				SparseBudget: sparseBudget, SparseInflate: sparseInflate,
 			})
 			if err != nil {
@@ -116,16 +116,16 @@ func run(queryName, engine string, n int, eps, delta float64, seed int64, worker
 	}
 
 	// poolFor turns one engine into a worker pool: a GP engine is warmed on
-	// the given tuples, then frozen and cloned per worker; a stateless MC
-	// engine is replicated as-is.
-	poolFor := func(be builtEngine, warm []*query.Tuple, inputs []string) (*exec.Pool, error) {
+	// the given tuples under the stage predicate, then frozen and cloned per
+	// worker; a stateless MC engine is replicated as-is.
+	poolFor := func(be builtEngine, warm []*query.Tuple, inputs []string, pred *mc.Predicate) (*exec.Pool, error) {
 		if be.ev != nil {
 			for _, t := range warm {
 				input, err := query.InputVectorFor(t, inputs)
 				if err != nil {
 					return nil, err
 				}
-				if _, err := be.ev.Eval(input, rng); err != nil {
+				if _, err := be.ev.EvalWhere(input, pred, rng); err != nil {
 					return nil, fmt.Errorf("warm-up: %w", err)
 				}
 			}
@@ -149,7 +149,7 @@ func run(queryName, engine string, n int, eps, delta float64, seed int64, worker
 			a := &query.ApplyUDF{In: in, Inputs: inputs, Out: out, Engine: be.eng, Rng: rng, Predicate: pred}
 			return a, func() int { return a.Dropped }, nil
 		}
-		pool, err := poolFor(be, warm, inputs)
+		pool, err := poolFor(be, warm, inputs, pred)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -170,7 +170,7 @@ func run(queryName, engine string, n int, eps, delta float64, seed int64, worker
 	start := time.Now()
 	switch queryName {
 	case "q1":
-		eng, err := mkEngine(astro.GalAgeFunc(cosmo), kernel.NewSqExp(4, 0.3), nil)
+		eng, err := mkEngine(astro.GalAgeFunc(cosmo), kernel.NewSqExp(4, 0.3))
 		if err != nil {
 			return err
 		}
@@ -193,17 +193,17 @@ func run(queryName, engine string, n int, eps, delta float64, seed int64, worker
 			return err
 		}
 		distUDF := astro.AngDistFunc4()
-		distEng, err := mkEngine(distUDF, kernel.NewSqExp(20, 15), &mc.Predicate{A: 0, B: 25, Theta: 0.2})
+		distEng, err := mkEngine(distUDF, kernel.NewSqExp(20, 15))
 		if err != nil {
 			return err
 		}
 		distInputs := []string{"g1.ra", "g1.dec", "g2.ra", "g2.dec"}
 		withDist, distDropped, err := applyStage(query.NewScan(pairs), distInputs, "distance",
-			distEng, nil, pairs[:warmCount(len(pairs))])
+			distEng, &mc.Predicate{A: 0, B: 25, Theta: 0.2}, pairs[:warmCount(len(pairs))])
 		if err != nil {
 			return err
 		}
-		volEng, err := mkEngine(astro.ComoveVolFunc(cosmo, 100), kernel.NewSqExp(5e7, 0.3), nil)
+		volEng, err := mkEngine(astro.ComoveVolFunc(cosmo, 100), kernel.NewSqExp(5e7, 0.3))
 		if err != nil {
 			return err
 		}

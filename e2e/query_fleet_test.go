@@ -160,6 +160,21 @@ func TestE2EQueryFleet(t *testing.T) {
 	if !bytes.Equal(wantCross, soloCross) {
 		t.Fatalf("three-shard answer diverged from single-shard fleet:\n%s\nvs\n%s", wantCross, soloCross)
 	}
+	// The same plan behind a TEP predicate: each shard filters its rows in
+	// the engine, and the survivors' TEP bounds feed the merged counts.
+	predPlan := crossPlan
+	predPlan.Predicate = &client.PredicateSpec{A: 0.4, B: 100, Theta: 0.5}
+	wantPred, err := clA.Query(ctx, predPlan)
+	if err != nil {
+		t.Fatalf("cross-shard predicate query on fleet A: %v", err)
+	}
+	soloPred, err := clB.Query(ctx, predPlan)
+	if err != nil {
+		t.Fatalf("cross-shard predicate query on fleet B: %v", err)
+	}
+	if !bytes.Equal(wantPred, soloPred) {
+		t.Fatalf("three-shard predicate answer diverged from single-shard fleet:\n%s\nvs\n%s", wantPred, soloPred)
+	}
 
 	// Gate 2: a single-instance plan answers identically whether forwarded
 	// whole to the shard's /v1/query or decomposed through partials — the

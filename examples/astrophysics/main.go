@@ -75,17 +75,17 @@ func main() {
 	// pairs that cannot be within 20° (with probability ≥ 0.2) are dropped.
 	distEval, err := olgapro.NewEvaluator(olgapro.AngDist4UDF(), olgapro.Config{
 		Eps: 0.1, Delta: 0.05, Kernel: olgapro.SqExpKernel(20, 15),
-		Predicate: &olgapro.Predicate{A: 0, B: 20, Theta: 0.2},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	withDist := &olgapro.ApplyUDFOp{
-		In:     olgapro.NewScan(allPairs),
-		Inputs: []string{"g1.ra", "g1.dec", "g2.ra", "g2.dec"},
-		Out:    "distance",
-		Engine: olgapro.GPEngine(distEval),
-		Rng:    rng,
+		In:        olgapro.NewScan(allPairs),
+		Inputs:    []string{"g1.ra", "g1.dec", "g2.ra", "g2.dec"},
+		Out:       "distance",
+		Engine:    olgapro.GPEngine(distEval),
+		Rng:       rng,
+		Predicate: &olgapro.Predicate{A: 0, B: 20, Theta: 0.2},
 	}
 	volEval, err := olgapro.NewEvaluator(olgapro.ComoveVolUDF(cosmo, 100), olgapro.Config{
 		Eps: 0.1, Delta: 0.05, Kernel: olgapro.SqExpKernel(5e7, 0.3),

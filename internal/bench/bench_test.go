@@ -72,7 +72,8 @@ func TestExperimentsHaveUniqueNames(t *testing.T) {
 }
 
 // Smoke: every experiment runs at tiny scale and produces non-empty tables.
-// The full-scale shape checks live in EXPERIMENTS.md / cmd/experiments.
+// The full-scale runs live in cmd/experiments; docs/performance.md
+// describes the measurements.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke suite skipped in -short mode")

@@ -27,6 +27,9 @@ type Result struct {
 	// TuplesPerSec is set on throughput benchmarks only: processed tuples
 	// per wall-clock second, derived from ns/op and the table size.
 	TuplesPerSec float64 `json:"tuples_sec,omitempty"`
+	// SamplesPerTuple is set on the predicate-stage benchmarks only: the
+	// Monte-Carlo samples the engine ran inference on per input tuple.
+	SamplesPerTuple float64 `json:"samples_tuple,omitempty"`
 }
 
 // Run is the file format of one harness invocation.

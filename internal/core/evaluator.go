@@ -191,6 +191,31 @@ func (e *Evaluator) zAlpha(box rtree.Rect) float64 {
 	return band.ZAlphaForKernel(e.deltaGP, e.cfg.Kernel, box.Lo, box.Hi)
 }
 
+// bandCounts is the chunk check's tally over samples [lo, hi): how many
+// have their lower band end mean−zα·sd ≤ B, and how many their upper end
+// mean+zα·sd ≤ A. Counted over every sample processed so far, these are
+// n·Lower.CDF(B) and n·Upper.CDF(A) of the envelope envelopeOf would build
+// — the same band expressions — so the check needs no sort, and a chunk
+// adds only its own samples to the running counts.
+func bandCounts(means, vars []float64, zAlpha float64, lo, hi int, pred *mc.Predicate) (inB, belowA int) {
+	for i := lo; i < hi; i++ {
+		if means[i]-zAlpha*math.Sqrt(vars[i]) <= pred.B {
+			inB++
+		}
+		if means[i]+zAlpha*math.Sqrt(vars[i]) <= pred.A {
+			belowA++
+		}
+	}
+	return inB, belowA
+}
+
+// tepUpper turns bandCounts over n samples into the TEP upper bound
+// ρ_U = clamp01(Lower.CDF(B) − Upper.CDF(A)) with the envelope's own two
+// divisions, so every filter decision is bit-identical to the envelope's.
+func tepUpper(inB, belowA, n int) float64 {
+	return clamp01(float64(inB)/float64(n) - float64(belowA)/float64(n))
+}
+
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0
@@ -202,10 +227,20 @@ func clamp01(v float64) float64 {
 }
 
 // Eval processes one uncertain input tuple and returns its approximate
-// output distribution with an error bound (Algorithm 5). The Monte-Carlo
-// sample matrix is drawn into one flat, evaluator-owned backing array that
-// is reused by the next Eval call.
+// output distribution with an error bound (Algorithm 5), filtering on the
+// configured Config.Predicate. The Monte-Carlo sample matrix is drawn into
+// one flat, evaluator-owned backing array that is reused by the next Eval
+// call.
 func (e *Evaluator) Eval(input dist.Vector, rng *rand.Rand) (*Output, error) {
+	return e.EvalWhere(input, e.cfg.Predicate, rng)
+}
+
+// EvalWhere is Eval with the §5.5 online filter driven by pred alone (nil:
+// no filtering); Config.Predicate does not act on this path. The predicate
+// is a per-call argument, never written into the configuration, so a
+// frozen clone serving many queries evaluates each under its own predicate
+// and stays a pure function of (input, pred, rng).
+func (e *Evaluator) EvalWhere(input dist.Vector, pred *mc.Predicate, rng *rand.Rand) (*Output, error) {
 	if input.Dim() != e.f.Dim() {
 		return nil, fmt.Errorf("core: input dim %d ≠ UDF dim %d", input.Dim(), e.f.Dim())
 	}
@@ -221,7 +256,7 @@ func (e *Evaluator) Eval(input dist.Vector, rng *rand.Rand) (*Output, error) {
 		row := data[i*d : (i+1)*d : (i+1)*d]
 		sc.samples[i] = input.SampleVec(rng, row)
 	}
-	return e.EvalSamples(sc.samples, rng)
+	return e.evalSamples(sc.samples, pred, rng)
 }
 
 // EvalSamples runs Algorithm 5 on pre-drawn input samples. Callers that
@@ -230,6 +265,12 @@ func (e *Evaluator) Eval(input dist.Vector, rng *rand.Rand) (*Output, error) {
 // its per-component training points coincide and the vector-UDF cache pays
 // for each point once. The samples must not be mutated afterwards.
 func (e *Evaluator) EvalSamples(samples [][]float64, rng *rand.Rand) (*Output, error) {
+	return e.evalSamples(samples, e.cfg.Predicate, rng)
+}
+
+// evalSamples is EvalSamples under the §5.5 predicate pred (nil: no
+// filtering).
+func (e *Evaluator) evalSamples(samples [][]float64, pred *mc.Predicate, rng *rand.Rand) (*Output, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("core: EvalSamples needs at least one sample")
 	}
@@ -269,24 +310,25 @@ func (e *Evaluator) EvalSamples(samples [][]float64, rng *rand.Rand) (*Output, e
 	// Steps 3–4 (filtering fast path): run inference in chunks and drop the
 	// tuple as soon as its TEP upper bound is confidently below θ (§5.5).
 	processed := 0
-	if e.cfg.Predicate != nil {
-		pred := e.cfg.Predicate
+	if pred != nil {
 		checking := true
+		inB, belowA := 0, 0
 		for processed < m {
 			hi := processed + e.cfg.FilterChunk
 			if hi > m {
 				hi = m
 			}
 			lc.predictInto(e, samples, means, vars, processed, hi)
-			processed = hi
 			if !checking {
+				processed = hi
 				continue
 			}
-			env := sc.env.envelopeOf(means, vars, zA, processed)
-			rhoU := clamp01(env.Lower.CDF(pred.B) - env.Upper.CDF(pred.A))
+			b, a := bandCounts(means, vars, zA, processed, hi, pred)
+			inB, belowA, processed = inB+b, belowA+a, hi
+			rhoU := tepUpper(inB, belowA, processed)
 			if rhoU+mc.HoeffdingRadius(processed, e.deltaMC) < pred.Theta {
 				if !e.cfg.FilterTrustModel {
-					ok, err := e.verifyFilter(samples, means, vars, lc, zA, processed, out, rng)
+					ok, err := e.verifyFilter(samples, means, vars, lc, zA, processed, pred, out, rng)
 					if err != nil {
 						return nil, err
 					}
@@ -381,8 +423,7 @@ func (e *Evaluator) EvalSamples(samples [][]float64, rng *rand.Rand) (*Output, e
 	}
 
 	// Final TEP bounds and late filtering.
-	if e.cfg.Predicate != nil {
-		pred := e.cfg.Predicate
+	if pred != nil {
 		lo, _, hi := env.IntervalBounds(pred.A, pred.B)
 		out.TEPLower, out.TEPUpper = lo, hi
 		if hi < pred.Theta {
@@ -467,8 +508,7 @@ func (e *Evaluator) EvalLambda(input dist.Vector, lambda float64, rng *rand.Rand
 // envelope and outside the predicate range (filtering may proceed).
 // Otherwise the observation becomes training data and it returns false.
 func (e *Evaluator) verifyFilter(samples [][]float64, means, vars []float64,
-	lc *localCtx, zA float64, processed int, out *Output, rng *rand.Rand) (bool, error) {
-	pred := e.cfg.Predicate
+	lc *localCtx, zA float64, processed int, pred *mc.Predicate, out *Output, rng *rand.Rand) (bool, error) {
 	best, bestGap := -1, math.Inf(1)
 	maxVarIdx, maxVar := -1, -1.0
 	for i := 0; i < processed; i++ {

@@ -143,18 +143,28 @@ func (h *Hybrid) gpCostEstimate() time.Duration {
 	return time.Duration(h.gpCostNs / int64(h.gpInputs))
 }
 
-// Eval routes one uncertain input to the current engine.
+// Eval routes one uncertain input to the current engine, filtering on the
+// configured predicate.
 func (h *Hybrid) Eval(input dist.Vector, rng *rand.Rand) (*Output, Engine, error) {
+	return h.EvalWhere(input, h.mcCfg.Predicate, rng)
+}
+
+// EvalWhere is Eval under the §5.5 predicate pred alone (nil: no
+// filtering), on whichever engine runs the input; as with
+// Evaluator.EvalWhere, the configured predicate does not act here.
+func (h *Hybrid) EvalWhere(input dist.Vector, pred *mc.Predicate, rng *rand.Rand) (*Output, Engine, error) {
 	h.inputs++
 	if h.decided && h.choice == EngineMC {
-		res, err := mc.Evaluate(h.tf.f, input, h.mcCfg, rng)
+		cfg := h.mcCfg
+		cfg.Predicate = pred
+		res, err := mc.Evaluate(h.tf.f, input, cfg, rng)
 		if err != nil {
 			return nil, EngineMC, err
 		}
 		out := &Output{
 			Dist:     res.Dist,
-			Bound:    h.mcCfg.Eps,
-			BoundMC:  h.mcCfg.Eps,
+			Bound:    cfg.Eps,
+			BoundMC:  cfg.Eps,
 			Samples:  res.Samples,
 			UDFCalls: res.UDFCalls,
 			Filtered: res.Filtered,
@@ -168,7 +178,7 @@ func (h *Hybrid) Eval(input dist.Vector, rng *rand.Rand) (*Output, Engine, error
 	callsBefore := atomic.LoadInt64(&h.tf.calls)
 	udfNsBefore := atomic.LoadInt64(&h.tf.totalNs)
 	start := time.Now()
-	out, err := h.eval.Eval(input, rng)
+	out, err := h.eval.EvalWhere(input, pred, rng)
 	wall := time.Since(start)
 	if err != nil {
 		return nil, EngineGP, err

@@ -233,10 +233,9 @@ type envScratch struct {
 }
 
 // syncPerms sizes the three permutations to n samples. A grown range is
-// appended as identity — during chunked filtering the first permN samples
-// keep their values exactly, so the previous order stays a sorted prefix run
-// and only the new suffix needs merging. A shrunk range (new tuple with a
-// smaller budget) resets to identity.
+// appended as identity, so the previous order stays a prefix run and only
+// the new suffix needs merging. A shrunk range (new tuple with a smaller
+// budget) resets to identity.
 func (s *envScratch) syncPerms(n int) {
 	if s.permN > n {
 		s.permN = 0

@@ -11,9 +11,9 @@
 // bit-identical to serial execution (a 1-worker pool):
 //
 //  1. Per-tuple RNG seeding: every tuple is evaluated with its own
-//     rand.Rand seeded by TupleSeed from (Options.Seed, tuple ordinal), so
-//     Monte-Carlo sampling does not depend on which worker runs the tuple
-//     or how many tuples it ran before.
+//     rand.Rand seeded by query.TupleSeed from (Options.Seed, tuple
+//     ordinal), so Monte-Carlo sampling does not depend on which worker
+//     runs the tuple or how many tuples it ran before.
 //  2. Frozen engines: pool engines must not mutate shared or per-engine
 //     model state during execution. core.(*Evaluator).CloneFrozen produces
 //     such engines (NewEvaluatorPool uses it); MCEngine is stateless by
@@ -48,12 +48,6 @@ import (
 	"olgapro/internal/mc"
 	"olgapro/internal/query"
 )
-
-// TupleSeed derives the deterministic RNG seed for the tuple at stream
-// ordinal seq from the pipeline's base seed. It is query.TupleSeed — the
-// one seeding discipline shared with the serial planner — re-exported at
-// its historical name for executor call sites.
-func TupleSeed(base, seq int64) int64 { return query.TupleSeed(base, seq) }
 
 // Pool is a set of per-worker engines sharing one trained model. Build one
 // with NewEvaluatorPool (frozen clones of a warmed-up OLGAPRO evaluator) or
@@ -108,9 +102,9 @@ type Options struct {
 	// Ctx cancels the stage: workers stop promptly and Next returns the
 	// context's error. Nil means Background.
 	Ctx context.Context
-	// Seed is the base of the per-tuple RNG seeds (see TupleSeed). Two runs
-	// with the same seed and input produce bit-identical output at any
-	// worker count.
+	// Seed is the base of the per-tuple RNG seeds (see query.TupleSeed).
+	// Two runs with the same seed and input produce bit-identical output at
+	// any worker count.
 	Seed int64
 	// Queue is the capacity of each bounded stage channel — the
 	// backpressure knob. 0 uses 2× the worker count. At most
@@ -121,14 +115,16 @@ type Options struct {
 	Queue int
 	// Ords, when non-empty, maps each tuple's local stream position to its
 	// global ordinal in a larger relation: tuple j seeds from
-	// TupleSeed(Seed, Ords[j]) instead of TupleSeed(Seed, j). A shard of a
+	// query.TupleSeed(Seed, Ords[j]) instead of (Seed, j). A shard of a
 	// scattered query uses this to evaluate its subset of the union relation
 	// with exactly the per-tuple RNG streams the whole relation would get,
 	// keeping the distributed answer bit-identical. Positions past the end
 	// of Ords fall back to the local ordinal.
 	Ords []int64
-	// Predicate, when non-nil, truncates surviving result distributions to
-	// [A, B] with the realized mass as TEP, exactly as query.ApplyUDF does.
+	// Predicate, when non-nil, is the stage's §5.5 filter, exactly as in
+	// query.ApplyUDF: every engine evaluates under it, filtered tuples are
+	// dropped, and surviving distributions are truncated to [A, B] with the
+	// realized mass as TEP.
 	Predicate *mc.Predicate
 	// KeepEnvelope retains each result's confidence envelope (see
 	// query.AttachResult) for downstream bounded operators.
@@ -284,12 +280,12 @@ func evalOne(eng query.Engine, j job, inputs []string, out string, opt Options) 
 	if j.seq < int64(len(opt.Ords)) {
 		ord = opt.Ords[j.seq]
 	}
-	rng := rand.New(rand.NewSource(TupleSeed(opt.Seed, ord)))
+	rng := rand.New(rand.NewSource(query.TupleSeed(opt.Seed, ord)))
 	input, err := query.InputVectorFor(j.tuple, inputs)
 	if err != nil {
 		return result{seq: j.seq, err: err}
 	}
-	o, err := eng.EvalInput(input, rng)
+	o, err := eng.EvalInput(input, opt.Predicate, rng)
 	if err != nil {
 		return result{seq: j.seq, err: err}
 	}

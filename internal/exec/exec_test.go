@@ -125,12 +125,12 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	eng := query.NewEvaluatorEngine(serialClone)
 	var serial []query.Value
 	for seq, tp := range tuples {
-		rng := rand.New(rand.NewSource(TupleSeed(seed, int64(seq))))
+		rng := rand.New(rand.NewSource(query.TupleSeed(seed, int64(seq))))
 		input, err := query.InputVectorFor(tp, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := eng.EvalInput(input, rng)
+		out, err := eng.EvalInput(input, nil, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestRaceEightWorkers(t *testing.T) {
 // engineFunc adapts a function to query.Engine for fault-injection tests.
 type engineFunc func(input dist.Vector, rng *rand.Rand) (*core.Output, error)
 
-func (f engineFunc) EvalInput(input dist.Vector, rng *rand.Rand) (*core.Output, error) {
+func (f engineFunc) EvalInput(input dist.Vector, _ *mc.Predicate, rng *rand.Rand) (*core.Output, error) {
 	return f(input, rng)
 }
 
@@ -462,14 +462,14 @@ func TestTupleSeedDistinct(t *testing.T) {
 	seen := make(map[int64]int64, 20000)
 	for _, base := range []int64{0, 1, 42, -7} {
 		for seq := int64(0); seq < 5000; seq++ {
-			s := TupleSeed(base, seq)
+			s := query.TupleSeed(base, seq)
 			if prev, dup := seen[s]; dup {
 				t.Fatalf("seed collision: base %d seq %d repeats %d", base, seq, prev)
 			}
 			seen[s] = seq
 		}
 	}
-	if TupleSeed(1, 0) == TupleSeed(2, 0) {
+	if query.TupleSeed(1, 0) == query.TupleSeed(2, 0) {
 		t.Error("different bases should give different seeds")
 	}
 }

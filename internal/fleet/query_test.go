@@ -26,7 +26,7 @@ func registerVia(t *testing.T, cl *client.Client, name string) {
 // scatterPlans is the plan-shape matrix the scatter tests sweep: every
 // first-stage kind (none, window, group-by, top-k) plus router-side
 // downstream stages and a TEP predicate (which drops tuples, so global
-// ordinals have gaps).
+// ordinals have gaps, and gives survivors envelope TEP bounds).
 func scatterPlans() map[string]map[string]any {
 	return map[string]map[string]any{
 		"bare": {},
@@ -53,6 +53,17 @@ func scatterPlans() map[string]map[string]any {
 		"topk_predicate": {
 			"predicate": map[string]any{"a": 0.0, "b": 1.2, "theta": 0.05},
 			"topk":      map[string]any{"k": 3, "by": "y", "desc": true},
+		},
+		// A predicate that drops rows and keeps others certainly, so the
+		// group counts mix exact and maybe-tuple contributions before the
+		// router-side top-k ranks them.
+		"predicate_groupby_topk": {
+			"predicate": map[string]any{"a": 0.4, "b": 100.0, "theta": 0.5},
+			"group_by": map[string]any{
+				"keys": []string{"g"},
+				"aggs": []map[string]any{{"kind": "count"}, {"kind": "avg", "attr": "y"}},
+			},
+			"topk": map[string]any{"k": 2, "by": "avg_y", "desc": true},
 		},
 	}
 }

@@ -13,8 +13,16 @@ import (
 // NewEvaluatorEngine, NewMCEngine, or NewHybridEngine; every Output leaves
 // the constructor-made engine with Output.Engine stamped, so routing
 // decisions survive into query results regardless of which backend ran.
+//
+// pred is the calling stage's §5.5 predicate and the only one in force: a
+// non-nil pred drives the backend's online filter for this input — a
+// hopeless tuple comes back Filtered after as little inference as the
+// Hoeffding check needs, and a survivor carries its TEP bounds — and nil
+// means no filtering. A predicate in the backend's configuration
+// (core.Config.Predicate, mc.Config.Predicate) does not act through an
+// Engine.
 type Engine interface {
-	EvalInput(input dist.Vector, rng *rand.Rand) (*core.Output, error)
+	EvalInput(input dist.Vector, pred *mc.Predicate, rng *rand.Rand) (*core.Output, error)
 }
 
 // engine is the one concrete Engine implementation: a backend closure plus
@@ -22,13 +30,13 @@ type Engine interface {
 // than inside each backend; EngineUnknown means "trust the backend's own
 // per-input stamp" (the hybrid router records which engine it chose).
 type engine struct {
-	eval  func(input dist.Vector, rng *rand.Rand) (*core.Output, error)
+	eval  func(input dist.Vector, pred *mc.Predicate, rng *rand.Rand) (*core.Output, error)
 	stamp core.Engine
 }
 
 // EvalInput runs the backend and stamps the output's engine tag.
-func (e engine) EvalInput(input dist.Vector, rng *rand.Rand) (*core.Output, error) {
-	out, err := e.eval(input, rng)
+func (e engine) EvalInput(input dist.Vector, pred *mc.Predicate, rng *rand.Rand) (*core.Output, error) {
+	out, err := e.eval(input, pred, rng)
 	if err != nil || out == nil {
 		return out, err
 	}
@@ -42,7 +50,7 @@ func (e engine) EvalInput(input dist.Vector, rng *rand.Rand) (*core.Output, erro
 // frozen clone) as a query Engine.
 func NewEvaluatorEngine(ev *core.Evaluator) Engine {
 	return engine{
-		eval:  ev.Eval,
+		eval:  ev.EvalWhere,
 		stamp: core.EngineGP,
 	}
 }
@@ -52,7 +60,9 @@ func NewEvaluatorEngine(ev *core.Evaluator) Engine {
 // shared across pool workers.
 func NewMCEngine(f udf.Func, cfg mc.Config) Engine {
 	return engine{
-		eval: func(input dist.Vector, rng *rand.Rand) (*core.Output, error) {
+		eval: func(input dist.Vector, pred *mc.Predicate, rng *rand.Rand) (*core.Output, error) {
+			cfg := cfg
+			cfg.Predicate = pred
 			res, err := mc.Evaluate(f, input, cfg, rng)
 			if err != nil {
 				return nil, err
@@ -77,8 +87,8 @@ func NewMCEngine(f udf.Func, cfg mc.Config) Engine {
 // stamp is left to the router, which records the engine it chose per input.
 func NewHybridEngine(h *core.Hybrid) Engine {
 	return engine{
-		eval: func(input dist.Vector, rng *rand.Rand) (*core.Output, error) {
-			out, _, err := h.Eval(input, rng)
+		eval: func(input dist.Vector, pred *mc.Predicate, rng *rand.Rand) (*core.Output, error) {
+			out, _, err := h.EvalWhere(input, pred, rng)
 			return out, err
 		},
 		stamp: core.EngineUnknown,

@@ -208,12 +208,12 @@ func (c *CrossJoin) Next() (*Tuple, error) {
 
 // ApplyUDF evaluates a UDF over the named input attributes of each tuple and
 // appends the output distribution as a new attribute. Tuples the engine
-// filters (predicate TEP below threshold) are dropped from the stream —
-// this is the WHERE clause of query Q2. For surviving tuples under a
-// predicate, the appended distribution is *truncated* to the predicate
-// interval with the tuple existence probability attached, matching the
-// paper's semantics ("truncates the distribution ... to the region [l, u],
-// and hence yields a tuple existence probability").
+// filters under the stage's Predicate (TEP below threshold) are dropped from
+// the stream — this is the WHERE clause of query Q2. For surviving tuples
+// under a predicate, the appended distribution is *truncated* to the
+// predicate interval with the tuple existence probability attached, matching
+// the paper's semantics ("truncates the distribution ... to the region
+// [l, u], and hence yields a tuple existence probability").
 type ApplyUDF struct {
 	In Iterator
 	// Inputs names the attributes forming the UDF input vector, in order.
@@ -233,10 +233,9 @@ type ApplyUDF struct {
 	SeedPerTuple bool
 	// Seed is the base of the per-tuple seeds when SeedPerTuple is set.
 	Seed int64
-	// Predicate, when non-nil, truncates surviving result distributions to
-	// [A, B]. It should match the predicate configured on the engine (the
-	// engine's own predicate drives the drop decision; this one drives the
-	// truncation of kept tuples).
+	// Predicate, when non-nil, is the stage's §5.5 filter: the engine
+	// evaluates every tuple under it (dropping hopeless tuples early, see
+	// Engine) and surviving result distributions are truncated to [A, B].
 	Predicate *mc.Predicate
 	// KeepEnvelope retains Out.Envelope on attached results, which the
 	// bounded operators (TopK/Window/GroupBy) require to derive intervals.
@@ -266,7 +265,7 @@ func (a *ApplyUDF) Next() (*Tuple, error) {
 		if a.SeedPerTuple {
 			rng = rand.New(rand.NewSource(TupleSeed(a.Seed, a.state.seq)))
 		}
-		out, err := a.Engine.EvalInput(input, rng)
+		out, err := a.Engine.EvalInput(input, a.Predicate, rng)
 		if err != nil {
 			return nil, a.state.fail(fmt.Sprintf("apply %q", a.Out), err)
 		}

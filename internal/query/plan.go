@@ -30,8 +30,9 @@ type ApplySpec struct {
 	As string
 	// Seed is the base of the per-tuple RNG seeds (TupleSeed).
 	Seed int64
-	// Predicate, when non-nil, applies the §5.5 TEP filter: engine-filtered
-	// tuples are dropped and surviving distributions truncated to [A, B].
+	// Predicate, when non-nil, applies the §5.5 TEP filter: the engine
+	// evaluates under it, filtered tuples are dropped and surviving
+	// distributions truncated to [A, B].
 	Predicate *mc.Predicate
 	// KeepEnvelope retains each result's confidence envelope, required by
 	// downstream Window/GroupBy/TopK stages ranking on the result.

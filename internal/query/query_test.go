@@ -248,14 +248,12 @@ func TestApplyUDFFiltering(t *testing.T) {
 	}
 	identity := udf.FuncOf{D: 1, F: func(x []float64) float64 { return x[0] }}
 	apply := &ApplyUDF{
-		In:     NewScan(rel),
-		Inputs: []string{"redshift"},
-		Out:    "z",
-		Engine: NewMCEngine(identity, mc.Config{
-			Eps: 0.05, Delta: 0.05,
-			Predicate: &mc.Predicate{A: 0.3, B: 0.5, Theta: 0.1},
-		}),
-		Rng: rng,
+		In:        NewScan(rel),
+		Inputs:    []string{"redshift"},
+		Out:       "z",
+		Engine:    NewMCEngine(identity, mc.Config{Eps: 0.05, Delta: 0.05}),
+		Rng:       rng,
+		Predicate: &mc.Predicate{A: 0.3, B: 0.5, Theta: 0.1},
 	}
 	got, err := Drain(apply)
 	if err != nil {
@@ -360,7 +358,7 @@ func TestApplyUDFTruncatesSurvivors(t *testing.T) {
 // errEngine fails on every input, for error-convention tests.
 type errEngine struct{ err error }
 
-func (e errEngine) EvalInput(input dist.Vector, rng *rand.Rand) (*core.Output, error) {
+func (e errEngine) EvalInput(input dist.Vector, pred *mc.Predicate, rng *rand.Rand) (*core.Output, error) {
 	return nil, e.err
 }
 
@@ -445,7 +443,7 @@ func TestOutputEngineStamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	f := udf.FuncOf{D: 1, F: func(x []float64) float64 { return x[0] }}
 
-	mcOut, err := NewMCEngine(f, mc.Config{Eps: 0.3, Delta: 0.3}).EvalInput(in, rng)
+	mcOut, err := NewMCEngine(f, mc.Config{Eps: 0.3, Delta: 0.3}).EvalInput(in, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +455,7 @@ func TestOutputEngineStamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpOut, err := NewEvaluatorEngine(ev).EvalInput(in, rng)
+	gpOut, err := NewEvaluatorEngine(ev).EvalInput(in, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +469,7 @@ func TestOutputEngineStamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hOut, err := NewHybridEngine(h).EvalInput(in, rng)
+	hOut, err := NewHybridEngine(h).EvalInput(in, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

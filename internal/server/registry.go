@@ -19,7 +19,7 @@
 //     traffic: frozen evaluation is a pure function of (input, rng), so
 //     borrowed clones may run concurrently, and a stream request can fan
 //     its tuples across several slots through the existing exec.Pool
-//     executor with bit-deterministic per-tuple seeding (exec.TupleSeed).
+//     executor with bit-deterministic per-tuple seeding (query.TupleSeed).
 //
 // Slots record the training-set size their clone was built at and are
 // transparently rebuilt when the writer has learned since, so read traffic
@@ -378,7 +378,7 @@ func (e *udfEntry) frozenEval(ctx context.Context, input dist.Vector, seed int64
 	}
 	defer e.returnSlot(s)
 	rng := rand.New(rand.NewSource(seed))
-	out, err := s.eng.EvalInput(input, rng)
+	out, err := s.eng.EvalInput(input, nil, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -422,7 +422,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			s.failErr(w, err, "warmup[%d]: %v", i, err)
 			return
 		}
-		_, err := e.learnEval(r.Context(), vec, exec.TupleSeed(req.WarmupSeed, int64(i)))
+		_, err := e.learnEval(r.Context(), vec, query.TupleSeed(req.WarmupSeed, int64(i)))
 		s.release()
 		if err != nil {
 			s.reg.remove(e.spec.Name)
@@ -473,7 +473,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	seed := exec.TupleSeed(req.Seed, 0)
+	seed := query.TupleSeed(req.Seed, 0)
 	var out *core.Output
 	if req.Learn == nil || *req.Learn {
 		out, err = e.learnEval(r.Context(), vec, seed)
@@ -491,7 +491,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 
 // handleStream evaluates an NDJSON stream of tuples. ?learn=false serves
 // the whole stream from frozen clones fanned out over the exec executor —
-// per-tuple seeding (exec.TupleSeed over ?seed=S and the line number) makes
+// per-tuple seeding (query.TupleSeed over ?seed=S and the line number) makes
 // the response bytes a deterministic function of the model state, so a
 // snapshot-restored server replays a session bit-identically. The default
 // learn mode routes every tuple through the single-writer loop with the
@@ -571,7 +571,7 @@ func (s *Server) streamLearn(ctx context.Context, e *udfEntry, body io.Reader,
 			fail(seq, err)
 			return
 		}
-		out, err := e.learnEval(ctx, vec, exec.TupleSeed(seed, seq))
+		out, err := e.learnEval(ctx, vec, query.TupleSeed(seed, seq))
 		s.release()
 		if err != nil {
 			fail(seq, err)

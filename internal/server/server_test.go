@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"olgapro/internal/core"
-	"olgapro/internal/exec"
+	"olgapro/internal/query"
 	"olgapro/internal/server/wire"
 )
 
@@ -612,7 +612,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 }
 
 // The learn-mode seeding must match the documented derivation: line i of a
-// learn stream and exec.TupleSeed(seed, i) drive the same RNG.
+// learn stream and query.TupleSeed(seed, i) drive the same RNG.
 func TestLearnSeedDerivation(t *testing.T) {
 	// White-box: a registry entry evaluated directly must match the
 	// documented TupleSeed derivation byte-for-byte.
@@ -630,7 +630,7 @@ func TestLearnSeedDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	out, err := e.learnEval(ctx, in, exec.TupleSeed(21, 0))
+	out, err := e.learnEval(ctx, in, query.TupleSeed(21, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +640,7 @@ func TestLearnSeedDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(exec.TupleSeed(21, 0)))
+	rng := rand.New(rand.NewSource(query.TupleSeed(21, 0)))
 	want, err := ev.Eval(in, rng)
 	if err != nil {
 		t.Fatal(err)

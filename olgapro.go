@@ -279,7 +279,9 @@ func GalaxyTuple(objID int64, ra, dec, raErr, decErr, z, zErr float64) *Tuple {
 }
 
 // GPEngine adapts an Evaluator for use in query plans. Output.Engine is
-// stamped by the returned wrapper, uniformly across all three engines.
+// stamped by the returned wrapper, uniformly across all three engines. In
+// a plan the §5.5 filter is the stage's Predicate (ApplyUDFOp.Predicate);
+// a Config.Predicate does not act through any of the three engines.
 func GPEngine(e *Evaluator) QueryEngine { return query.NewEvaluatorEngine(e) }
 
 // MCQueryEngine adapts Monte-Carlo evaluation of f under cfg for use in
